@@ -207,10 +207,6 @@ enum Op {
     MulColVec(Var, Var),
     RowwiseDot(Var, Var),
     Reshape(Var, Shape),
-    /// Contiguous column slice `(input, start, width)`.
-    SliceCols(Var, usize, usize),
-    /// Column embedding into a wider zero matrix `(input, start, total)`.
-    PadCols(Var, usize, usize),
     /// Fused activation backward `g ∘ act'(y)`, with the derivative taken
     /// from the saved layer *output* `y`. One node replaces the
     /// derivative-chain / multiply nodes the affine backward used to emit.
@@ -262,8 +258,6 @@ fn op_name(op: &Op) -> &'static str {
         Op::MulColVec(..) => "mul_col_vec",
         Op::RowwiseDot(..) => "rowwise_dot",
         Op::Reshape(..) => "reshape",
-        Op::SliceCols(..) => "slice_cols",
-        Op::PadCols(..) => "pad_cols",
         Op::ActBack { .. } => "act_back",
     }
 }
@@ -711,70 +705,6 @@ impl Tape {
         self.push(value, Op::Affine { x, w, b, act })
     }
 
-    /// Fused population sweep over one shared `[m, 1]` input: `G` affine
-    /// layers `act(x·wᵍ + bᵍ)` computed in a single kernel pass.
-    ///
-    /// Semantically this IS `G` calls to [`Tape::affine`] — each returned
-    /// node is an ordinary `Op::Affine` carrying that genome's own
-    /// operands, so gradients and double-backward follow the per-genome
-    /// path unchanged. Only the forward values come from one fused sweep:
-    /// the shared input element is loaded once per row and every genome's
-    /// `[m, nᵍ]` block is written directly. All weights must have one row
-    /// (`k = 1`, the descriptor first layer), where each output element is
-    /// the single product `act((0 + x·w) + b)` — spelled exactly like the
-    /// zero-initialised accumulator of the general kernel, so the fused
-    /// values are bit-identical to the per-genome ones.
-    pub fn affine_population(
-        &self,
-        x: Var,
-        layers: &[(Var, Var)],
-        act: Option<Unary>,
-    ) -> Vec<Var> {
-        // Cheap Arc clones so no node borrow is held across `alloc`/`push`.
-        let xv = self.nodes.borrow()[x.idx].value.clone();
-        assert_eq!(xv.shape().cols(), 1, "affine_population input must be [m, 1]");
-        let m = xv.shape().rows();
-        let wb: Vec<(Tensor, Tensor)> = {
-            let nodes = self.nodes.borrow();
-            layers
-                .iter()
-                .map(|&(w, b)| (nodes[w.idx].value.clone(), nodes[b.idx].value.clone()))
-                .collect()
-        };
-        for (w, b) in &wb {
-            assert_eq!(w.shape().rows(), 1, "affine_population weights must be [1, n]");
-            assert_eq!(b.len(), w.shape().cols(), "affine_population bias length");
-        }
-        let xd = xv.data();
-        let mut bufs: Vec<_> = wb.iter().map(|(w, _)| self.alloc(m * w.shape().cols())).collect();
-        for (p, &xp) in xd.iter().enumerate() {
-            for ((w, b), buf) in wb.iter().zip(bufs.iter_mut()) {
-                let n = w.shape().cols();
-                let (wd, bd) = (w.data(), b.data());
-                let orow = &mut buf[p * n..(p + 1) * n];
-                for j in 0..n {
-                    // `0.0 + x·w` mirrors the general kernel's accumulator
-                    // exactly (it differs from plain `x·w` when the product
-                    // is a negative zero).
-                    orow[j] = (0.0 + xp * wd[j]) + bd[j];
-                }
-            }
-        }
-        if let Some(k) = act {
-            for buf in &mut bufs {
-                k.eval_slice(buf);
-            }
-        }
-        wb.iter()
-            .zip(bufs)
-            .zip(layers)
-            .map(|(((w, _), buf), &(wv, bv))| {
-                let n = w.shape().cols();
-                self.push(buf.into_tensor(Shape::D2(m, n)), Op::Affine { x, w: wv, b: bv, act })
-            })
-            .collect()
-    }
-
     /// Apply an elementwise nonlinearity.
     pub fn unary(&self, k: Unary, a: Var) -> Var {
         let value = {
@@ -932,46 +862,6 @@ impl Tape {
         };
         let id = self.intern_indices(idx);
         self.push(value, Op::ScatterAddRows(a, id, n))
-    }
-
-    /// Copy the contiguous column range `[start, start+width)` of a matrix
-    /// into a new `[r, width]` tensor. With [`Tape::pad_cols`] this closes
-    /// column-blocked computations (e.g. a population of networks fused
-    /// into one wide layer) under double backward.
-    pub fn slice_cols(&self, a: Var, start: usize, width: usize) -> Var {
-        let value = {
-            let nodes = self.nodes.borrow();
-            let x = &nodes[a.idx].value;
-            let (r, c) = (x.shape().rows(), x.shape().cols());
-            assert!(start + width <= c, "column slice {start}+{width} exceeds width {c}");
-            let mut out = self.alloc(r * width);
-            for (orow, xrow) in
-                out.chunks_exact_mut(width.max(1)).zip(x.data().chunks_exact(c.max(1)))
-            {
-                orow.copy_from_slice(&xrow[start..start + width]);
-            }
-            out.into_tensor(Shape::D2(r, width))
-        };
-        self.push(value, Op::SliceCols(a, start, width))
-    }
-
-    /// Embed a matrix's columns into a wider zero matrix starting at column
-    /// `start` — the adjoint of [`Tape::slice_cols`].
-    pub fn pad_cols(&self, a: Var, start: usize, total: usize) -> Var {
-        let value = {
-            let nodes = self.nodes.borrow();
-            let x = &nodes[a.idx].value;
-            let (r, w) = (x.shape().rows(), x.shape().cols());
-            assert!(start + w <= total, "column pad {start}+{w} exceeds width {total}");
-            let mut out = self.alloc_zeroed(r * total);
-            for (orow, xrow) in
-                out.chunks_exact_mut(total.max(1)).zip(x.data().chunks_exact(w.max(1)))
-            {
-                orow[start..start + w].copy_from_slice(xrow);
-            }
-            out.into_tensor(Shape::D2(r, total))
-        };
-        self.push(value, Op::PadCols(a, start, total))
     }
 
     /// Scale row `i` of `m` by `v[i]`.
@@ -1272,9 +1162,7 @@ impl Tape {
                 | Op::BroadcastScalar(a, _)
                 | Op::GatherRows(a, _)
                 | Op::ScatterAddRows(a, _, _)
-                | Op::Reshape(a, _)
-                | Op::SliceCols(a, _, _)
-                | Op::PadCols(a, _, _) => useful[a.idx],
+                | Op::Reshape(a, _) => useful[a.idx],
             };
         }
         useful
@@ -1462,33 +1350,6 @@ impl Tape {
                         if let Some(c) = self.val_act_back_y(act, &g, ggv, yv) {
                             acc(y, c, &mut adjoint);
                         }
-                    }
-                }
-                Op::SliceCols(a, start, _) => {
-                    if useful[a.idx] {
-                        let ashape = nodes[a.idx].value.shape();
-                        let (r, c) = (ashape.rows(), ashape.cols());
-                        let w = g.shape().cols();
-                        let mut out = self.alloc_zeroed(r * c);
-                        for (orow, grow) in
-                            out.chunks_exact_mut(c.max(1)).zip(g.data().chunks_exact(w.max(1)))
-                        {
-                            orow[start..start + w].copy_from_slice(grow);
-                        }
-                        acc(a, out.into_tensor(Shape::D2(r, c)), &mut adjoint);
-                    }
-                }
-                Op::PadCols(a, start, total) => {
-                    if useful[a.idx] {
-                        let ashape = nodes[a.idx].value.shape();
-                        let (r, w) = (ashape.rows(), ashape.cols());
-                        let mut out = self.alloc(r * w);
-                        for (orow, grow) in
-                            out.chunks_exact_mut(w.max(1)).zip(g.data().chunks_exact(total.max(1)))
-                        {
-                            orow.copy_from_slice(&grow[start..start + w]);
-                        }
-                        acc(a, out.into_tensor(Shape::D2(r, w)), &mut adjoint);
                     }
                 }
                 Op::SumAll(a) => {
@@ -1788,20 +1649,6 @@ impl Tape {
                             Unary::Relu | Unary::Relu6 => {}
                             _ => panic!("affine fusion only supports MLP activations, got {act:?}"),
                         }
-                    }
-                }
-                Op::SliceCols(a, start, _) => {
-                    if useful[a.idx] {
-                        let total = self.shape(a).cols();
-                        let gp = self.pad_cols(g, start, total);
-                        accumulate(a, gp, &mut adjoint);
-                    }
-                }
-                Op::PadCols(a, start, _) => {
-                    if useful[a.idx] {
-                        let w = self.shape(a).cols();
-                        let gs = self.slice_cols(g, start, w);
-                        accumulate(a, gs, &mut adjoint);
                     }
                 }
                 Op::SumAll(a) => {
@@ -2219,133 +2066,6 @@ mod tests {
         let y = t.sum_all(t.square(g1));
         let g = t.grad(y, &[x]);
         assert_eq!(t.value(g[0]).data(), &[8.0, 0.0, -2.0]);
-    }
-
-    #[test]
-    fn affine_population_matches_per_genome_affine_bitwise() {
-        // Three genomes with different first-layer widths over one shared
-        // [m,1] input, including negative zeros produced by sign flips and
-        // biases that are themselves ±0.0 — the fused sweep must reproduce
-        // every per-genome bit, and gradients must flow as if each affine
-        // had been recorded individually.
-        let t = Tape::new();
-        let x = t.constant(Tensor::matrix(5, 1, vec![0.3, -1.2, 0.0, -0.0, 7.5]));
-        let specs: Vec<(Vec<f64>, Vec<f64>)> = vec![
-            (vec![0.5, -0.25, 3.0], vec![0.1, -0.2, 0.3]),
-            (vec![-0.0, 2.0], vec![-0.0, 0.0]),
-            (vec![1.0, 0.0, -1.0, 0.5, 4.0], vec![0.0, -0.0, 1.0, -1.0, 0.25]),
-        ];
-        let layers: Vec<(Var, Var)> = specs
-            .iter()
-            .map(|(w, b)| {
-                (t.constant(Tensor::matrix(1, w.len(), w.clone())), t.constant(Tensor::vector(b)))
-            })
-            .collect();
-        for act in [None, Some(Unary::Tanh)] {
-            let fused = t.affine_population(x, &layers, act);
-            for (&(w, b), f) in layers.iter().zip(&fused) {
-                let solo = t.affine(x, w, b, act);
-                let (fv, sv) = (t.value(*f), t.value(solo));
-                assert_eq!(fv.shape(), sv.shape());
-                for (a, r) in fv.data().iter().zip(sv.data()) {
-                    assert_eq!(a.to_bits(), r.to_bits(), "fused {a} vs solo {r}");
-                }
-                // The fused node is an ordinary affine: same gradients.
-                let gf = t.grad(t.sum_all(*f), &[x, w, b]);
-                let gs = t.grad(t.sum_all(solo), &[x, w, b]);
-                for (a, b) in gf.iter().zip(&gs) {
-                    assert_eq!(t.value(*a).data(), t.value(*b).data());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn slice_and_pad_cols_values_and_gradients() {
-        let t = Tape::new();
-        let x = t.constant(Tensor::matrix(2, 4, (0..8).map(|v| v as f64 + 1.0).collect()));
-        // slice_cols picks a contiguous column window.
-        let mid = t.slice_cols(x, 1, 2);
-        assert_eq!(t.value(mid).shape(), Shape::D2(2, 2));
-        assert_eq!(t.value(mid).data(), &[2.0, 3.0, 6.0, 7.0]);
-        // pad_cols embeds it back at an offset, zero elsewhere.
-        let padded = t.pad_cols(mid, 2, 5);
-        assert_eq!(t.value(padded).shape(), Shape::D2(2, 5));
-        assert_eq!(t.value(padded).data(), &[0.0, 0.0, 2.0, 3.0, 0.0, 0.0, 0.0, 6.0, 7.0, 0.0]);
-        // Gradient of sum(slice²) touches only the sliced columns of x.
-        let y = t.sum_all(t.square(mid));
-        let g = t.grad(y, &[x]);
-        assert_eq!(t.value(g[0]).data(), &[0.0, 4.0, 6.0, 0.0, 0.0, 12.0, 14.0, 0.0]);
-        // Gradient through the pad is the slice of the padded adjoint.
-        let y2 = t.sum_all(t.square(padded));
-        let g2 = t.grad(y2, &[x]);
-        assert_eq!(t.value(g2[0]).data(), t.value(g[0]).data());
-    }
-
-    #[test]
-    fn pad_cols_concat_round_trips_and_is_closed_under_double_backward() {
-        // The population-fusion pattern: embed per-genome weight rows into a
-        // wide matrix via pad_cols + add, run one shared-input layer, slice
-        // each lane back out, and keep every loss per-genome. With a width-1
-        // input the matmul is a single product per element and the other
-        // lanes contribute exact ±0.0 terms to each reduction, so values,
-        // per-genome inner (force-style) gradients, and second-order weight
-        // gradients all match the unfused per-genome graphs to the last ulp
-        // (`==`; signed zeros compare equal). Summing *across* lanes instead
-        // would reorder the shared-input reduction — that is exactly what
-        // population mode never does.
-        let run = |fused: bool| -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>) {
-            let t = Tape::new();
-            let x = t.constant(Tensor::matrix(3, 1, vec![0.4, -1.2, 2.5]));
-            let wa = t.constant(Tensor::matrix(1, 2, vec![0.3, -0.2]));
-            let wb = t.constant(Tensor::matrix(1, 2, vec![0.5, 0.7]));
-            let (ha, hb) = if fused {
-                let wide = t.add(t.pad_cols(wa, 0, 4), t.pad_cols(wb, 2, 4));
-                let h = t.tanh(t.matmul(x, wide));
-                (t.slice_cols(h, 0, 2), t.slice_cols(h, 2, 2))
-            } else {
-                (t.tanh(t.matmul(x, wa)), t.tanh(t.matmul(x, wb)))
-            };
-            // Per-genome energies, inner (force-style) gradients, and
-            // second-order weight gradients — no cross-genome reduction.
-            let ea = t.sum_all(ha);
-            let eb = t.sum_all(hb);
-            let fa = t.grad(ea, &[x])[0];
-            let fb = t.grad(eb, &[x])[0];
-            let ga = t.grad(t.sum_all(t.square(fa)), &[wa])[0];
-            let gb = t.grad(t.sum_all(t.square(fb)), &[wb])[0];
-            (
-                t.value(fa).into_data(),
-                t.value(fb).into_data(),
-                t.value(ga).into_data(),
-                t.value(gb).into_data(),
-            )
-        };
-        let (fa_f, fb_f, ga_f, gb_f) = run(true);
-        let (fa_u, fb_u, ga_u, gb_u) = run(false);
-        assert_eq!(fa_f, fa_u);
-        assert_eq!(fb_f, fb_u);
-        assert_eq!(ga_f, ga_u);
-        assert_eq!(gb_f, gb_u);
-    }
-
-    #[test]
-    fn grad_values_matches_taped_grad_for_slice_and_pad() {
-        let t = Tape::new();
-        let x = t.constant(Tensor::matrix(3, 2, vec![0.4, -1.2, 2.5, 0.3, -0.7, 1.1]));
-        let w = t.constant(Tensor::matrix(2, 3, (0..6).map(|i| 0.3 - 0.11 * i as f64).collect()));
-        let h = t.tanh(t.matmul(x, w));
-        let left = t.slice_cols(h, 0, 2);
-        let right = t.slice_cols(h, 2, 1);
-        let back = t.add(t.pad_cols(left, 1, 3), t.pad_cols(right, 0, 3));
-        let loss = t.sum_all(t.square(back));
-        let wrt = [x, w];
-        let taped: Vec<Tensor> = t.grad(loss, &wrt).iter().map(|&g| t.value(g)).collect();
-        let values = t.grad_values(loss, &wrt);
-        for (a, b) in values.iter().zip(taped.iter()) {
-            assert_eq!(a.shape(), b.shape());
-            assert_eq!(a.data(), b.data());
-        }
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Machine-readable baseline of the training hot path: steady-state
 //! training step cost, the tensor/tape kernels it is built from (blocked
 //! matmul, transposed-operand matmuls, bulk tanh, fused affine layer),
-//! the batched-vs-scalar descriptor pass, and the population-level fused
-//! validation sweep.
+//! and the batched-vs-scalar descriptor pass.
 //!
-//! Writes `BENCH_hotpath.json` (schema `dphpo-hotpath-v2`) into the
+//! Writes `BENCH_hotpath.json` (schema `dphpo-hotpath-v3`) into the
 //! current directory — run from the repo root (or via
 //! `scripts/bench_baseline.sh`) to refresh the checked-in baseline.
 //! `--quick` trades stability for runtime (CI-friendly).
@@ -13,11 +12,8 @@ use std::time::Instant;
 
 use dphpo_autograd::{Tape, Tensor, Unary};
 use dphpo_dnnp::json::Json;
-use dphpo_dnnp::model::forward_population;
 use dphpo_dnnp::descriptor::merge_frame_caches;
-use dphpo_dnnp::{
-    forward_cached, train, train_population, DnnpModel, FrameCache, Supervision, TrainConfig,
-};
+use dphpo_dnnp::{forward_cached, train, DnnpModel, FrameCache, TrainConfig};
 use dphpo_md::generate::{generate_dataset, GenConfig};
 use dphpo_md::Dataset;
 use rand::rngs::StdRng;
@@ -202,79 +198,8 @@ fn main() {
             std::hint::black_box(btape.item(btape.sum_all(graph.forces.expect("forces"))));
     });
 
-    // Population-level evaluation: G genomes sharing the rcut bucket.
-    // (a) the fused first-layer validation sweep versus G sequential
-    // sweeps on the same merged batch; (b) end-to-end `train_population`
-    // versus a sequential loop of `train` over the same jobs.
-    println!("timing population-level evaluation...");
-    let genomes = 4usize;
-    let pop_steps = if quick { 10 } else { 40 };
-    let pop_jobs: Vec<(TrainConfig, u64)> = (0..genomes)
-        .map(|g| {
-            let mut c = config(REFERENCE_RCUT, pop_steps);
-            c.disp_freq = pop_steps / 2;
-            c.fitting_neurons = vec![8 + g, 8];
-            (c, 100 + g as u64)
-        })
-        .collect();
-    let pop_models: Vec<DnnpModel> = pop_jobs
-        .iter()
-        .map(|(c, seed)| {
-            let mut r = StdRng::seed_from_u64(*seed);
-            DnnpModel::with_stats(c.clone(), &train_ds, model.stats.clone(), &mut r)
-                .expect("bench model")
-        })
-        .collect();
-    let sweep_reps = if quick { 10 } else { 100 };
-    let sweep_sequential_ns = ns_per_op(samples, sweep_reps, || {
-        for m in &pop_models {
-            btape.reset();
-            let taped = m.params.register(&btape);
-            let graph = forward_cached(
-                &btape,
-                &taped,
-                &m.config,
-                &m.stats,
-                &merged,
-                &onehot_batch,
-                true,
-            );
-            let _ = std::hint::black_box(
-                btape.item(btape.sum_all(graph.forces.expect("forces"))),
-            );
-        }
-    });
-    let sweep_fused_ns = ns_per_op(samples, sweep_reps, || {
-        btape.reset();
-        let tapeds: Vec<_> = pop_models.iter().map(|m| m.params.register(&btape)).collect();
-        let configs: Vec<&TrainConfig> = pop_models.iter().map(|m| &m.config).collect();
-        let graphs = forward_population(
-            &btape,
-            &tapeds,
-            &configs,
-            &model.stats,
-            &merged,
-            &onehot_batch,
-            true,
-        );
-        for graph in graphs {
-            let _ = std::hint::black_box(
-                btape.item(btape.sum_all(graph.forces.expect("forces"))),
-            );
-        }
-    });
-    let train_sequential_ns = time_best(samples, || {
-        for (c, seed) in &pop_jobs {
-            let mut r = StdRng::seed_from_u64(*seed);
-            let _ = train(c, &train_ds, &val_ds, &mut r).unwrap();
-        }
-    }) * 1e9;
-    let train_population_ns = time_best(samples, || {
-        let _ = train_population(&pop_jobs, &train_ds, &val_ds, &Supervision::none()).unwrap();
-    }) * 1e9;
-
     let doc = Json::object(vec![
-        ("schema", Json::String("dphpo-hotpath-v2".into())),
+        ("schema", Json::String("dphpo-hotpath-v3".into())),
         ("quick", Json::Bool(quick)),
         ("reference_rcut", Json::Number(REFERENCE_RCUT)),
         (
@@ -312,22 +237,6 @@ fn main() {
                 ("speedup", Json::Number(scalar_pass_ns / batched_pass_ns)),
             ]),
         ),
-        (
-            "population",
-            Json::object(vec![
-                ("genomes", Json::Number(genomes as f64)),
-                ("val_sweep_sequential_ns", Json::Number(sweep_sequential_ns)),
-                ("val_sweep_fused_ns", Json::Number(sweep_fused_ns)),
-                ("val_sweep_speedup", Json::Number(sweep_sequential_ns / sweep_fused_ns)),
-                ("train_steps", Json::Number(pop_steps as f64)),
-                ("train_sequential_ns", Json::Number(train_sequential_ns)),
-                ("train_population_ns", Json::Number(train_population_ns)),
-                (
-                    "train_speedup",
-                    Json::Number(train_sequential_ns / train_population_ns),
-                ),
-            ]),
-        ),
     ]);
     std::fs::write(&out_path, format!("{doc}\n")).expect("write baseline");
     println!("wrote {out_path}");
@@ -349,17 +258,5 @@ fn main() {
         batched_pass_ns / 1e3,
         scalar_pass_ns / 1e3,
         scalar_pass_ns / batched_pass_ns
-    );
-    println!(
-        "  population val sweep ({genomes} genomes): fused {:.1} µs vs sequential {:.1} µs ({:.2}x)",
-        sweep_fused_ns / 1e3,
-        sweep_sequential_ns / 1e3,
-        sweep_sequential_ns / sweep_fused_ns
-    );
-    println!(
-        "  population training ({genomes} genomes x {pop_steps} steps): {:.1} ms vs sequential {:.1} ms ({:.2}x)",
-        train_population_ns / 1e6,
-        train_sequential_ns / 1e6,
-        train_sequential_ns / train_population_ns
     );
 }

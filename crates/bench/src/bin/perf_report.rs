@@ -11,7 +11,8 @@
 //! the history entries of the same schema family: per-row delta against
 //! the history median, a MAD jitter bar, and a verdict — `ok`,
 //! `REGRESSION` (a timing row more than 15% above its median), `new`
-//! (no history yet), or `info` (non-timing rows, never gated). This
+//! (no history yet), `info` (non-timing rows, never gated), or `retired`
+//! (a history row the snapshot no longer has, never gated). This
 //! generalizes `bench_baseline.sh --check` to the hotpath, obs, and any
 //! future schema at once: a snapshot's kind derives from its `schema` tag,
 //! so new benchmark families join the gate without code changes.

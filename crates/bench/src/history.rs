@@ -172,6 +172,9 @@ pub enum Verdict {
     New,
     /// Non-timing row (counts, ratios) — reported, never gated.
     Info,
+    /// Row the history has but the fresh snapshot no longer carries (a
+    /// benchmark that was removed) — reported, never gated.
+    Retired,
 }
 
 impl Verdict {
@@ -182,6 +185,7 @@ impl Verdict {
             Verdict::Regression => "REGRESSION",
             Verdict::New => "new",
             Verdict::Info => "info",
+            Verdict::Retired => "retired",
         }
     }
 }
@@ -191,8 +195,8 @@ impl Verdict {
 pub struct RowDiff {
     /// Dotted row key.
     pub key: String,
-    /// The fresh snapshot's value.
-    pub value: f64,
+    /// The fresh snapshot's value (`None` for a retired row).
+    pub value: Option<f64>,
     /// Median of the row's history series (`None` without history).
     pub median: Option<f64>,
     /// Median absolute deviation of the series, as a percent of the median
@@ -223,9 +227,21 @@ fn median(sorted: &[f64]) -> f64 {
     }
 }
 
+/// Median and MAD-as-percent-of-median of a non-empty history series.
+fn median_and_mad_pct(values: &[f64]) -> (f64, f64) {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let med = median(&sorted);
+    let mut devs: Vec<f64> = sorted.iter().map(|v| (v - med).abs()).collect();
+    devs.sort_by(f64::total_cmp);
+    let mad = median(&devs);
+    (med, if med != 0.0 { mad / med.abs() * 100.0 } else { 0.0 })
+}
+
 /// Diff a fresh snapshot against the history trajectory of the same kind.
-/// Rows sort by key; the binary prints them in order and fails `--check`
-/// when any verdict is [`Verdict::Regression`].
+/// Rows sort by key; history rows the snapshot no longer has are listed as
+/// [`Verdict::Retired`]. The binary prints them in order and fails
+/// `--check` when any verdict is [`Verdict::Regression`].
 pub fn diff(history: &[HistoryEntry], fresh: &HistoryEntry) -> Vec<RowDiff> {
     let mut series: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
     for entry in history.iter().filter(|e| e.kind == fresh.kind) {
@@ -233,20 +249,14 @@ pub fn diff(history: &[HistoryEntry], fresh: &HistoryEntry) -> Vec<RowDiff> {
             series.entry(k).or_default().push(*v);
         }
     }
-    fresh
+    let mut rows: Vec<RowDiff> = fresh
         .rows
         .iter()
         .map(|(key, &value)| {
             let timing = is_timing(key);
             match series.get(key.as_str()) {
                 Some(values) if !values.is_empty() => {
-                    let mut sorted = values.clone();
-                    sorted.sort_by(f64::total_cmp);
-                    let med = median(&sorted);
-                    let mut devs: Vec<f64> = sorted.iter().map(|v| (v - med).abs()).collect();
-                    devs.sort_by(f64::total_cmp);
-                    let mad = median(&devs);
-                    let mad_pct = if med != 0.0 { mad / med.abs() * 100.0 } else { 0.0 };
+                    let (med, mad_pct) = median_and_mad_pct(values);
                     let delta_pct =
                         if med != 0.0 { (value - med) / med.abs() * 100.0 } else { 0.0 };
                     let verdict = if !timing {
@@ -256,11 +266,18 @@ pub fn diff(history: &[HistoryEntry], fresh: &HistoryEntry) -> Vec<RowDiff> {
                     } else {
                         Verdict::Ok
                     };
-                    RowDiff { key: key.clone(), value, median: Some(med), mad_pct, delta_pct, verdict }
+                    RowDiff {
+                        key: key.clone(),
+                        value: Some(value),
+                        median: Some(med),
+                        mad_pct,
+                        delta_pct,
+                        verdict,
+                    }
                 }
                 _ => RowDiff {
                     key: key.clone(),
-                    value,
+                    value: Some(value),
                     median: None,
                     mad_pct: 0.0,
                     delta_pct: 0.0,
@@ -268,7 +285,22 @@ pub fn diff(history: &[HistoryEntry], fresh: &HistoryEntry) -> Vec<RowDiff> {
                 },
             }
         })
-        .collect()
+        .collect();
+    rows.extend(series.iter().filter(|(k, _)| !fresh.rows.contains_key(**k)).map(
+        |(key, values)| {
+            let (med, mad_pct) = median_and_mad_pct(values);
+            RowDiff {
+                key: key.to_string(),
+                value: None,
+                median: Some(med),
+                mad_pct,
+                delta_pct: 0.0,
+                verdict: Verdict::Retired,
+            }
+        },
+    ));
+    rows.sort_by(|a, b| a.key.cmp(&b.key));
+    rows
 }
 
 /// ASCII jitter bar: one `#` per percent of MAD-over-median, capped at 10.
@@ -292,8 +324,13 @@ pub fn render_diff(fresh: &HistoryEntry, rows: &[RowDiff], history_len: usize) -
     let _ = writeln!(out, "| row | current | median | delta | jitter (MAD) | verdict |");
     let _ = writeln!(out, "|---|---:|---:|---:|---|---|");
     for r in rows {
+        let value = r.value.map_or("-".to_string(), |v| format!("{v:.2}"));
         let median = r.median.map_or("-".to_string(), |m| format!("{m:.2}"));
-        let delta = if r.median.is_some() { format!("{:+.1}%", r.delta_pct) } else { "-".into() };
+        let delta = if r.value.is_some() && r.median.is_some() {
+            format!("{:+.1}%", r.delta_pct)
+        } else {
+            "-".into()
+        };
         let jitter = if r.median.is_some() {
             format!("{:.1}% {}", r.mad_pct, jitter_bar(r.mad_pct))
         } else {
@@ -301,9 +338,9 @@ pub fn render_diff(fresh: &HistoryEntry, rows: &[RowDiff], history_len: usize) -
         };
         let _ = writeln!(
             out,
-            "| {} | {:.2} | {} | {} | {} | {} |",
+            "| {} | {} | {} | {} | {} | {} |",
             r.key,
-            r.value,
+            value,
             median,
             delta,
             jitter,
@@ -401,6 +438,29 @@ mod tests {
         let step = rows.iter().find(|r| r.key == "training.0.ns_per_step").unwrap();
         assert_eq!(step.verdict, Verdict::New);
         assert_eq!(step.median, None);
+    }
+
+    #[test]
+    fn rows_missing_from_the_fresh_snapshot_read_as_retired_and_never_gate() {
+        let mut old = snapshot("dphpo-hotpath-v2", 100.0);
+        if let Json::Object(m) = &mut old {
+            m.insert(
+                "population".into(),
+                Json::object(vec![("val_sweep_fused_ns", Json::Number(5e6))]),
+            );
+        }
+        let history = vec![entry_from_snapshot(&old).unwrap()];
+        let fresh = entry_from_snapshot(&snapshot("dphpo-hotpath-v3", 100.0)).unwrap();
+        let rows = diff(&history, &fresh);
+        let retired = rows.iter().find(|r| r.key == "population.val_sweep_fused_ns").unwrap();
+        assert_eq!(retired.verdict, Verdict::Retired);
+        assert_eq!(retired.value, None);
+        assert_eq!(retired.median, Some(5e6));
+        assert!(rows.windows(2).all(|w| w[0].key < w[1].key), "rows stay key-sorted");
+        assert!(rows.iter().all(|r| r.verdict != Verdict::Regression));
+        let text = render_diff(&fresh, &rows, history.len());
+        assert!(text.contains("| population.val_sweep_fused_ns | - | 5000000.00 | - |"), "{text}");
+        assert!(text.contains("retired"));
     }
 
     #[test]

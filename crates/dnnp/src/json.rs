@@ -129,9 +129,11 @@ impl Json {
         h
     }
 
-    /// Parse a JSON document.
+    /// Parse a JSON document. Arrays and objects may nest at most
+    /// [`MAX_DEPTH`] levels deep; deeper input is an error, not a stack
+    /// overflow.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -141,6 +143,11 @@ impl Json {
         Ok(v)
     }
 }
+
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so this bounds its stack use on hostile input;
+/// the deepest document this workspace writes nests 8 levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// Parse error with byte offset.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -168,6 +175,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -206,8 +215,8 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::String),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(JsonError::new(self.pos, "unexpected character")),
         }
@@ -297,6 +306,20 @@ impl<'a> Parser<'a> {
         text.parse::<f64>()
             .map(Json::Number)
             .map_err(|_| JsonError::new(start, "invalid number"))
+    }
+
+    /// Parse one array or object, one level deeper than the caller.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError::new(self.pos, "nesting too deep"));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -496,6 +519,30 @@ mod tests {
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("nul").is_err());
+    }
+
+    #[test]
+    fn deeply_nested_arrays_are_an_error_not_a_stack_overflow() {
+        let err = Json::parse(&"[".repeat(100_000)).unwrap_err();
+        assert_eq!(err.pos, MAX_DEPTH);
+        assert_eq!(err.message, "nesting too deep");
+    }
+
+    #[test]
+    fn deeply_nested_objects_are_an_error_not_a_stack_overflow() {
+        assert!(Json::parse(&"{".repeat(100_000)).is_err());
+        let err = Json::parse(&"{\"a\":".repeat(100_000)).unwrap_err();
+        assert_eq!(err.message, "nesting too deep");
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_parses() {
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&deepest).is_ok());
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(Json::parse(&objects).is_ok());
+        let over = format!("[{deepest}]");
+        assert!(Json::parse(&over).is_err());
     }
 
     #[test]

@@ -30,7 +30,6 @@ pub mod lcurve;
 pub mod loss;
 pub mod lr;
 pub mod model;
-pub mod population;
 pub mod supervise;
 pub mod trainer;
 
@@ -41,10 +40,9 @@ pub use descriptor::{
 };
 pub use json::Json;
 pub use lcurve::{Lcurve, LcurveRow};
-pub use model::{forward_cached, forward_frame, DnnpModel, FrameRef};
+pub use model::{forward_cached, forward_frame, DnnpModel};
 pub use checkpoint::{load_model, save_model};
 pub use deploy::{model_nve_step, trajectory_divergence, DeployedState};
-pub use population::train_population;
 pub use supervise::{AbortReason, Sentinel, Supervision};
 pub use trainer::{
     step_budget, train, train_supervised, Adam, PhaseBudget, StepBudget, TrainReport, TrainRun,

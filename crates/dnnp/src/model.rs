@@ -202,16 +202,6 @@ pub struct TapedParams {
     pub flat: Vec<Var>,
 }
 
-/// Borrowed reference labels for one frame (energy + forces), used by the
-/// cached RMSE path.
-#[derive(Clone, Copy, Debug)]
-pub struct FrameRef<'a> {
-    /// Reference total energy (eV).
-    pub energy: f64,
-    /// Reference forces (eV/Å).
-    pub forces: &'a [[f64; 3]],
-}
-
 /// Output of a taped frame evaluation.
 pub struct FrameGraph {
     /// Per-atom energies `[n, 1]` (before summation) — a batched caller
@@ -225,9 +215,7 @@ pub struct FrameGraph {
     /// per-species pooling) — phase mark for the step-budget census.
     pub descriptor_end: usize,
     /// Tape length right after the fitting net and energy reduction; nodes
-    /// in `forward_end..` belong to the force backward. In the population
-    /// builder the descriptor section is shared across genomes, so these
-    /// marks delimit phases only for the single-genome builders.
+    /// in `forward_end..` belong to the force backward.
     pub forward_end: usize,
 }
 
@@ -420,147 +408,6 @@ pub fn forward_cached(
     FrameGraph { atomic, energy, forces, descriptor_end, forward_end }
 }
 
-/// Build the energy (and optionally force) graphs for several genomes that
-/// share one [`FrameCache`] — the population-level evaluation sweep.
-///
-/// All genomes must share the cache's `(rcut, rcut_smth)` bucket (the cache
-/// embeds the standardisation `stats`), the first embedding width, and the
-/// descriptor activation; deeper embedding layers and the whole fitting
-/// stack may differ per genome. The first embedding layer of every genome
-/// is fused into ONE kernel sweep over the shared standardized input
-/// `z [P, 1]` ([`Tape::affine_population`]): the shared element is loaded
-/// once per row and every genome's `[P, h₁]` block is written directly.
-/// Because the first layer contracts over k = 1, every fused output
-/// element is the very same `act(z·w + b)` product the per-genome kernel
-/// computes, and each genome's graph still contains its own ordinary
-/// affine node — so the force backward follows the per-genome path
-/// untouched. Both energies and forces are **bit-identical** to
-/// [`forward_cached`]: no reduction is ever widened or reordered (see
-/// DESIGN.md §10).
-pub fn forward_population(
-    tape: &Tape,
-    taped: &[TapedParams],
-    configs: &[&TrainConfig],
-    stats: &DescriptorStats,
-    cache: &FrameCache,
-    onehot: &Tensor,
-    want_forces: bool,
-) -> Vec<FrameGraph> {
-    assert_eq!(taped.len(), configs.len(), "one config per genome");
-    let g_count = taped.len();
-    assert!(g_count > 0, "empty population");
-    let h1 = configs[0].embedding_neurons[0];
-    let desc_act = configs[0].desc_activation;
-    for c in configs {
-        assert_eq!(c.embedding_neurons[0], h1, "population first embedding width mismatch");
-        assert_eq!(c.desc_activation, desc_act, "population descriptor activation mismatch");
-    }
-    let desc_act = Some(desc_act.unary());
-    let n = cache.n_atoms;
-    let n_species = onehot.shape().cols();
-    debug_assert_eq!(onehot.shape().rows(), n);
-
-    let mut accs: Vec<Option<Var>> = vec![None; g_count];
-    let mut z_vars: Vec<Option<Var>> = vec![None; n_species];
-    let mut s_vars: Vec<Option<Var>> = vec![None; n_species];
-    for (t, sp) in cache.species.iter().enumerate() {
-        if sp.s.is_empty() {
-            continue;
-        }
-        let z = tape.constant(sp.z.clone());
-        let s = tape.constant(sp.s.clone());
-        z_vars[t] = Some(z);
-        s_vars[t] = Some(s);
-        // Fused first layer: every genome's `[P, h₁]` block is produced by
-        // one kernel sweep over the shared standardized input, and each
-        // genome still owns an ordinary affine node — so the force
-        // backward follows the per-genome path bit-exactly.
-        let layer0: Vec<(Var, Var)> = taped.iter().map(|tp| tp.embeddings[t][0]).collect();
-        let fused = tape.affine_population(z, &layer0, desc_act);
-        for (gi, tp) in taped.iter().enumerate() {
-            let mut h = fused[gi];
-            for &(w, b) in &tp.embeddings[t][1..] {
-                h = tape.affine(h, w, b, desc_act);
-            }
-            let weighted = tape.mul_col_vec(h, s);
-            let pooled = tape.scale(
-                tape.scatter_add_rows(weighted, std::rc::Rc::clone(&sp.centers), n),
-                1.0 / stats.avg_neighbors[t],
-            );
-            let contribution = tape.matmul(pooled, tp.fit_first[t]);
-            accs[gi] = Some(match accs[gi] {
-                None => contribution,
-                Some(prev) => tape.add(prev, contribution),
-            });
-        }
-    }
-
-    let onehot_var = tape.constant(onehot.clone());
-    // The descriptor section above is shared across the whole population.
-    let descriptor_end = tape.len();
-    accs.into_iter()
-        .zip(taped.iter())
-        .zip(configs.iter())
-        .map(|((acc, tp), config)| {
-            let h0 = config.fitting_neurons[0];
-            let acc = acc.unwrap_or_else(|| tape.constant(Tensor::zeros(Shape::D2(n, h0))));
-            let pre0 = tape.add_bias(
-                tape.add(acc, tape.matmul(onehot_var, tp.fit_onehot)),
-                tp.fit_b0,
-            );
-            let fit_act = config.fitting_activation.unary();
-            let mut h = config.fitting_activation.apply(tape, pre0);
-            let n_rest = tp.fit_rest.len();
-            for (k, &(w, b)) in tp.fit_rest.iter().enumerate() {
-                let act = if k + 1 < n_rest { Some(fit_act) } else { None };
-                h = tape.affine(h, w, b, act);
-            }
-            let atomic = tape.add(h, tape.matmul(onehot_var, tp.energy_bias));
-            let energy = tape.sum_all(atomic);
-            let forward_end = tape.len();
-
-            let forces = if want_forces {
-                let mut wrt = Vec::new();
-                let mut active: Vec<usize> = Vec::new();
-                for t in 0..n_species {
-                    if let (Some(z), Some(s)) = (z_vars[t], s_vars[t]) {
-                        wrt.push(z);
-                        wrt.push(s);
-                        active.push(t);
-                    }
-                }
-                let grads = tape.grad(energy, &wrt);
-                let mut force: Option<Var> = None;
-                for (k, &t) in active.iter().enumerate() {
-                    let sp = &cache.species[t];
-                    let g_z = grads[2 * k];
-                    let g_s = grads[2 * k + 1];
-                    let pt = sp.s.len();
-                    let u = tape.add(
-                        g_s,
-                        tape.scale(tape.reshape(g_z, Shape::D1(pt)), 1.0 / stats.dstd[t]),
-                    );
-                    let jac = tape.constant(sp.jac.clone());
-                    let rows = tape.mul_col_vec(jac, u);
-                    let to_neighbors =
-                        tape.scatter_add_rows(rows, std::rc::Rc::clone(&sp.neighbors), n);
-                    let to_centers =
-                        tape.scatter_add_rows(rows, std::rc::Rc::clone(&sp.centers), n);
-                    let de_dx = tape.sub(to_neighbors, to_centers);
-                    force = Some(match force {
-                        None => tape.neg(de_dx),
-                        Some(prev) => tape.sub(prev, de_dx),
-                    });
-                }
-                Some(force.unwrap_or_else(|| tape.constant(Tensor::zeros(Shape::D2(n, 3)))))
-            } else {
-                None
-            };
-            FrameGraph { atomic, energy, forces, descriptor_end, forward_end }
-        })
-        .collect()
-}
-
 /// A trained (or training) deep-potential model bound to one system.
 pub struct DnnpModel {
     /// Training configuration.
@@ -587,16 +434,6 @@ impl DnnpModel {
         train: &Dataset,
         rng: &mut R,
     ) -> Result<Self, String> {
-        let stats = Self::compute_stats(&config, train)?;
-        Self::with_stats(config, train, stats, rng)
-    }
-
-    /// The descriptor statistics [`DnnpModel::new`] would compute — split
-    /// out so a population of genomes sharing an `(rcut, rcut_smth)` bucket
-    /// can compute them once. The computation draws no randomness, so a
-    /// model built via [`DnnpModel::with_stats`] from these is bit-identical
-    /// to one built by [`DnnpModel::new`] with the same rng.
-    pub fn compute_stats(config: &TrainConfig, train: &Dataset) -> Result<DescriptorStats, String> {
         config.validate()?;
         if train.frames.is_empty() {
             return Err("empty training dataset".into());
@@ -609,31 +446,14 @@ impl DnnpModel {
             .take(8)
             .map(|f| f.positions.as_slice())
             .collect();
-        Ok(DescriptorStats::compute(
+        let stats = DescriptorStats::compute(
             &train.cell,
             &species_idx,
             &sample,
             config.rcut,
             config.rcut_smth,
             n_species,
-        ))
-    }
-
-    /// As [`DnnpModel::new`] with precomputed descriptor statistics. The
-    /// stats must come from [`DnnpModel::compute_stats`] on the same
-    /// `(config.rcut, config.rcut_smth, train)` triple.
-    pub fn with_stats<R: Rng + ?Sized>(
-        config: TrainConfig,
-        train: &Dataset,
-        stats: DescriptorStats,
-        rng: &mut R,
-    ) -> Result<Self, String> {
-        config.validate()?;
-        if train.frames.is_empty() {
-            return Err("empty training dataset".into());
-        }
-        let species_idx: Vec<usize> = train.species.iter().map(|s| s.index()).collect();
-        let n_species = species_idx.iter().copied().max().unwrap_or(0) + 1;
+        );
         let n = species_idx.len();
         let mut onehot = Tensor::zeros(Shape::D2(n, n_species));
         for (i, &t) in species_idx.iter().enumerate() {
@@ -711,30 +531,6 @@ impl DnnpModel {
             t.data().chunks_exact(3).map(|c| [c[0], c[1], c[2]]).collect()
         });
         (energy, forces)
-    }
-
-    /// RMSEs against reference frames using prebuilt caches (fast path for
-    /// the trainer's validation rows).
-    pub fn rmse_cached(&self, frames: &[FrameRef<'_>], caches: &[FrameCache]) -> (f64, f64) {
-        let n_atoms = self.species_idx.len() as f64;
-        let mut e_sq = 0.0;
-        let mut f_sq = 0.0;
-        let mut f_count = 0usize;
-        for (frame, cache) in frames.iter().zip(caches.iter()) {
-            let (e, forces) = self.predict_cached(cache);
-            let de = (e - frame.energy) / n_atoms;
-            e_sq += de * de;
-            for (fp, fr) in forces.iter().zip(frame.forces.iter()) {
-                for k in 0..3 {
-                    f_sq += (fp[k] - fr[k]).powi(2);
-                    f_count += 1;
-                }
-            }
-        }
-        if frames.is_empty() {
-            return (f64::NAN, f64::NAN);
-        }
-        ((e_sq / frames.len() as f64).sqrt(), (f_sq / f_count as f64).sqrt())
     }
 
     /// Validation RMSEs over up to `max_frames` frames of `dataset`:
@@ -959,27 +755,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn rmse_cached_matches_rmse() {
-        let (model, dataset) = tiny_model(22);
-        let frames: Vec<crate::model::FrameRef<'_>> = dataset
-            .frames
-            .iter()
-            .take(3)
-            .map(|f| FrameRef { energy: f.energy, forces: &f.forces })
-            .collect();
-        let caches: Vec<_> = dataset
-            .frames
-            .iter()
-            .take(3)
-            .map(|f| model.build_cache(&f.positions))
-            .collect();
-        let (e1, f1) = model.rmse(&dataset, 3);
-        let (e2, f2) = model.rmse_cached(&frames, &caches);
-        assert!((e1 - e2).abs() < 1e-12);
-        assert!((f1 - f2).abs() < 1e-12);
     }
 
     #[test]

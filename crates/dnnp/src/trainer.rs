@@ -129,6 +129,21 @@ impl PreparedBatch {
 
     /// `(energy RMSE per atom, force RMSE)` of the model on this batch.
     pub(crate) fn rmse(&self, model: &DnnpModel) -> (f64, f64) {
+        self.evaluate(model, |_| ()).0
+    }
+
+    /// Node count and per-kernel census of one validation RMSE pass. Node
+    /// counts depend only on graph topology, never on weights, so the
+    /// result is deterministic.
+    pub(crate) fn budget_census(&self, model: &DnnpModel) -> (usize, Vec<(&'static str, usize)>) {
+        self.evaluate(model, |tape| (tape.len(), tape.op_census(0..tape.len()))).1
+    }
+
+    /// Build the RMSE graph on the persistent tape, read the RMSEs, let
+    /// `inspect` look at the finished tape, then reset it. The reset also
+    /// releases the tape's handles on the model parameters, keeping the
+    /// optimiser's in-place update copy-free.
+    fn evaluate<T>(&self, model: &DnnpModel, inspect: impl FnOnce(&Tape) -> T) -> ((f64, f64), T) {
         let tape = &self.tape;
         let taped = model.params.register(tape);
         let graph = forward_cached(
@@ -140,40 +155,6 @@ impl PreparedBatch {
             &self.onehot,
             true,
         );
-        let out = self.graph_rmse(&graph);
-        // Recycle the graph now: this also releases the tape's handles on
-        // the model parameters, keeping the optimiser's in-place update
-        // copy-free.
-        tape.reset();
-        out
-    }
-
-    /// As [`PreparedBatch::rmse`] for a whole population sharing this
-    /// batch's geometry bucket: one fused first-layer sweep evaluates every
-    /// genome (see [`crate::model::forward_population`]). Per-genome RMSEs
-    /// are bit-identical to sequential [`PreparedBatch::rmse`] calls.
-    pub(crate) fn rmse_population(&self, models: &[&DnnpModel]) -> Vec<(f64, f64)> {
-        let tape = &self.tape;
-        let tapeds: Vec<_> = models.iter().map(|m| m.params.register(tape)).collect();
-        let configs: Vec<&TrainConfig> = models.iter().map(|m| &m.config).collect();
-        let graphs = crate::model::forward_population(
-            tape,
-            &tapeds,
-            &configs,
-            &models[0].stats,
-            &self.merged,
-            &self.onehot,
-            true,
-        );
-        let out = graphs.iter().map(|graph| self.graph_rmse(graph)).collect();
-        tape.reset();
-        out
-    }
-
-    /// RMSE reduction over one genome's evaluated graph (shared by the
-    /// sequential and fused paths so the summation order is identical).
-    fn graph_rmse(&self, graph: &crate::model::FrameGraph) -> (f64, f64) {
-        let tape = &self.tape;
         let energies =
             tape.scatter_add_rows(graph.atomic, Rc::clone(&self.frame_ids), self.n_frames);
         let n = self.n_atoms as f64;
@@ -193,31 +174,9 @@ impl PreparedBatch {
                 .map(|(p, r)| (p - r) * (p - r))
                 .sum::<f64>()
         }) / self.forces_flat.len() as f64;
-        (e_sq.sqrt(), f_sq.sqrt())
-    }
-
-    /// Node count and per-kernel census of one validation RMSE pass —
-    /// builds the same graph [`PreparedBatch::rmse`] builds, reads the
-    /// census, and resets. Node counts depend only on graph topology, never
-    /// on weights, so the result is deterministic.
-    pub(crate) fn budget_census(&self, model: &DnnpModel) -> (usize, Vec<(&'static str, usize)>) {
-        let tape = &self.tape;
+        let seen = inspect(tape);
         tape.reset();
-        let taped = model.params.register(tape);
-        let graph = forward_cached(
-            tape,
-            &taped,
-            &model.config,
-            &model.stats,
-            &self.merged,
-            &self.onehot,
-            true,
-        );
-        let _ = self.graph_rmse(&graph);
-        let nodes = tape.len();
-        let census = tape.op_census(0..nodes);
-        tape.reset();
-        (nodes, census)
+        ((e_sq.sqrt(), f_sq.sqrt()), seen)
     }
 }
 
@@ -353,16 +312,10 @@ fn batch_labels(
     )
 }
 
-/// One training run as an explicit per-step state machine.
+/// One training run, driven one step at a time.
 ///
-/// [`train_supervised`] is `new` → `step` until inactive → `finish`; the
-/// decomposition exists so [`crate::population::train_population`] can
-/// interleave several runs on one shared tape arena, share descriptor
-/// caches and the validation batch across a geometry bucket, and replace
-/// the per-run validation sweep with one fused population sweep. A run
-/// driven step-by-step is bit-identical to the monolithic loop it replaced:
-/// every rng draw, float op, and supervision probe happens in the same
-/// order.
+/// [`train_supervised`] is `new` → `step` until inactive → `finish`; callers
+/// that time or inspect individual steps drive the same calls themselves.
 pub struct TrainRun<'a> {
     config: &'a TrainConfig,
     train_ds: &'a Dataset,
@@ -371,8 +324,8 @@ pub struct TrainRun<'a> {
     schedule: LrSchedule,
     prefactors: PrefactorSchedule,
     n_atoms: usize,
-    train_caches: Rc<Vec<FrameCache>>,
-    val_batch: Rc<PreparedBatch>,
+    train_caches: Vec<FrameCache>,
+    val_batch: PreparedBatch,
     adam: Adam,
     lcurve: Lcurve,
     diverged: bool,
@@ -385,18 +338,14 @@ pub struct TrainRun<'a> {
     frame_ids: Rc<[usize]>,
     step_indices: Vec<Vec<usize>>,
     merged_memo: HashMap<Vec<usize>, (FrameCache, Tensor, Tensor)>,
-    /// One persistent tape for the whole run (shared across runs in
-    /// population mode): each step rebuilds the same graph topology, so
-    /// `reset()` turns the tape into an arena and the steady state runs
-    /// allocation-free.
-    tape: Rc<Tape>,
+    /// One persistent tape for the whole run: each step rebuilds the same
+    /// graph topology, so `reset()` turns the tape into an arena and the
+    /// steady state runs allocation-free.
+    tape: Tape,
     /// Reusable merger for compositions past the memo cap: steady-state
     /// merges reclaim the previous step's buffers.
     batch_merger: BatchCache,
     step: usize,
-    last_loss: f64,
-    last_trn_e_sq: f64,
-    last_trn_f_sq: f64,
 }
 
 impl<'a> TrainRun<'a> {
@@ -419,45 +368,15 @@ impl<'a> TrainRun<'a> {
         // Descriptor values are weight-independent: cache them per frame
         // once (training and validation), which removes the geometry
         // subgraph from every step.
-        let train_caches: Rc<Vec<FrameCache>> =
-            Rc::new(train_ds.frames.iter().map(|f| model.build_cache(&f.positions)).collect());
+        let train_caches: Vec<FrameCache> =
+            train_ds.frames.iter().map(|f| model.build_cache(&f.positions)).collect();
         let n_val = config.val_max_frames.max(1).min(val_ds.frames.len());
         let val_indices: Vec<usize> = (0..n_val).collect();
         let val_caches: Vec<FrameCache> =
             val_ds.frames[..n_val].iter().map(|f| model.build_cache(&f.positions)).collect();
-        let val_batch =
-            Rc::new(PreparedBatch::assemble(&model, val_ds, &val_indices, val_caches));
-        Self::with_parts(
-            config,
-            train_ds,
-            rng,
-            sup,
-            model,
-            train_caches,
-            val_batch,
-            Rc::new(Tape::new()),
-        )
-    }
-
-    /// Assemble a run from shared parts — the population path, where
-    /// descriptor caches, the validation batch, and the tape arena are
-    /// shared across every genome in a geometry bucket.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn with_parts<R: Rng + ?Sized>(
-        config: &'a TrainConfig,
-        train_ds: &'a Dataset,
-        rng: &mut R,
-        sup: &'a Supervision<'a>,
-        model: DnnpModel,
-        train_caches: Rc<Vec<FrameCache>>,
-        val_batch: Rc<PreparedBatch>,
-        tape: Rc<Tape>,
-    ) -> Result<Self, String> {
-        let schedule = LrSchedule::from_config(config);
-        let prefactors = PrefactorSchedule::from_config(config);
+        let val_batch = PreparedBatch::assemble(&model, val_ds, &val_indices, val_caches);
         let n_atoms = train_ds.n_atoms();
         let shapes: Vec<Shape> = model.params.flat().iter().map(|t| t.shape()).collect();
-        let adam = Adam::new(&shapes);
         let batch_total = config.n_workers * config.batch_per_worker;
         let onehot_batch = tile_onehot(&model.onehot, batch_total);
         let frame_ids: Rc<[usize]> = (0..batch_total)
@@ -493,12 +412,12 @@ impl<'a> TrainRun<'a> {
             train_ds,
             sup,
             model,
-            schedule,
-            prefactors,
+            schedule: LrSchedule::from_config(config),
+            prefactors: PrefactorSchedule::from_config(config),
             n_atoms,
             train_caches,
             val_batch,
-            adam,
+            adam: Adam::new(&shapes),
             lcurve: Lcurve::new(),
             diverged: false,
             steps_completed: 0,
@@ -510,12 +429,9 @@ impl<'a> TrainRun<'a> {
             frame_ids,
             step_indices,
             merged_memo,
-            tape,
+            tape: Tape::new(),
             batch_merger: BatchCache::new(),
             step: 0,
-            last_loss: f64::NAN,
-            last_trn_e_sq: 0.0,
-            last_trn_f_sq: 0.0,
         })
     }
 
@@ -528,23 +444,13 @@ impl<'a> TrainRun<'a> {
     /// touching weights, and read back the per-phase node census. Leaves
     /// the tape empty. See [`step_budget`].
     fn budget_phases(&self) -> Vec<PhaseBudget> {
-        let tape = &*self.tape;
+        let tape = &self.tape;
         tape.reset();
         let Some(indices) = self.step_indices.first() else {
             return Vec::new();
         };
-        let merged_owned;
-        let merged: &FrameCache = match self.merged_memo.get(indices.as_slice()) {
-            Some((m, _, _)) => m,
-            None => {
-                let batch_caches: Vec<&FrameCache> =
-                    indices.iter().map(|&i| &self.train_caches[i]).collect();
-                merged_owned = merge_frame_caches(&batch_caches);
-                &merged_owned
-            }
-        };
-        let (e_ref_t, f_ref_t) =
-            batch_labels(self.train_ds, indices, self.batch_total, self.n_atoms);
+        // The first composition is always memoized: the memo starts empty.
+        let (merged, e_ref_t, f_ref_t) = &self.merged_memo[indices];
 
         let taped = self.model.params.register(tape);
         let params_end = tape.len();
@@ -559,12 +465,12 @@ impl<'a> TrainRun<'a> {
         );
         let force_end = tape.len();
         let forces = graph.forces.expect("training requests forces");
-        // Loss section: the same kernels step_core records (values unused).
+        // Loss section: the same kernels `step` records (values unused).
         let energies =
             tape.scatter_add_rows(graph.atomic, Rc::clone(&self.frame_ids), self.batch_total);
-        let e_ref = tape.constant(e_ref_t);
+        let e_ref = tape.constant(e_ref_t.clone());
         let e_diff = tape.sub(energies, e_ref);
-        let f_ref = tape.constant(f_ref_t);
+        let f_ref = tape.constant(f_ref_t.clone());
         let f_diff = tape.sub(forces, f_ref);
         let le = tape.scale(tape.sum_all(tape.square(e_diff)), 1.0);
         let lf = tape.scale(tape.sum_all(tape.square(f_diff)), 1.0);
@@ -604,31 +510,8 @@ impl<'a> TrainRun<'a> {
         if !self.is_active() {
             return false;
         }
-        if self.step_core() {
-            let val_t0 = self.sup.obs().map(|_| std::time::Instant::now());
-            let (rmse_e, rmse_f) = self.val_batch.rmse(&self.model);
-            if let (Some(rec), Some(t0)) = (self.sup.obs(), val_t0) {
-                rec.observe(names::H_PHASE_VAL_WALL_NS, t0.elapsed().as_nanos() as f64);
-            }
-            self.apply_val(rmse_e, rmse_f);
-        }
-        self.advance();
-        self.is_active()
-    }
-
-    /// Move to the next step index. Split from [`TrainRun::step_core`] so
-    /// population mode can run the fused validation sweep between the two.
-    pub(crate) fn advance(&mut self) {
-        self.step += 1;
-    }
-
-    /// One training step without its validation row: supervision probes,
-    /// forward, loss, backward, Adam. Returns `true` when a validation row
-    /// is due for the step just completed (the caller supplies it — the
-    /// sequential path from its own [`PreparedBatch`], population mode from
-    /// the fused sweep).
-    pub(crate) fn step_core(&mut self) -> bool {
         let step = self.step;
+        self.step += 1;
         let sup = self.sup;
         // Resolved once per step: `None` when telemetry is off, so the hot
         // loop pays a single branch per instrumentation site. Everything
@@ -661,7 +544,7 @@ impl<'a> TrainRun<'a> {
         let step_t0 = obs.map(|_| std::time::Instant::now());
         let pref = self.prefactors.at(self.schedule.decay_ratio(step));
         let n = self.n_atoms as f64;
-        let tape = &*self.tape;
+        let tape = &self.tape;
         // Pool hits/misses are pure functions of the lease sequence, so the
         // metered counts are reproducible; the unobserved path never meters.
         if obs.is_some() && !tape.alloc_metering() {
@@ -710,11 +593,7 @@ impl<'a> TrainRun<'a> {
         let loss = tape.add(le, lf);
 
         let loss_value = tape.item(loss);
-        self.last_loss = loss_value;
         if sup.sentinel.fires(loss_value, self.initial_loss) {
-            // Leave the (possibly shared) tape empty on this mid-graph exit
-            // so interleaved population runs never see stale nodes.
-            tape.reset();
             self.diverged = true;
             self.abort = Some(AbortReason::Diverged { step, loss: loss_value });
             return false;
@@ -724,10 +603,10 @@ impl<'a> TrainRun<'a> {
         }
 
         // Training-batch RMSE bookkeeping (free: values already live).
-        self.last_trn_e_sq = tape.with_value(e_diff, |t| {
+        let trn_e_sq = tape.with_value(e_diff, |t| {
             t.data().iter().map(|v| (v / n) * (v / n)).sum::<f64>()
         }) / b;
-        self.last_trn_f_sq = tape.with_value(f_diff, |t| {
+        let trn_f_sq = tape.with_value(f_diff, |t| {
             t.data().iter().map(|v| v * v).sum::<f64>() / t.len() as f64
         });
 
@@ -804,76 +683,65 @@ impl<'a> TrainRun<'a> {
             });
         }
 
-        step.is_multiple_of(self.config.disp_freq)
-    }
-
-    /// Record the validation row for the step just completed by
-    /// [`TrainRun::step_core`], with the same divergence handling as the
-    /// sequential loop.
-    pub(crate) fn apply_val(&mut self, rmse_e_val: f64, rmse_f_val: f64) {
-        let step = self.step;
+        if !step.is_multiple_of(self.config.disp_freq) {
+            return self.is_active();
+        }
+        let val_t0 = obs.map(|_| std::time::Instant::now());
+        let (rmse_e_val, rmse_f_val) = self.val_batch.rmse(&self.model);
+        if let (Some(rec), Some(t0)) = (obs, val_t0) {
+            rec.observe(names::H_PHASE_VAL_WALL_NS, t0.elapsed().as_nanos() as f64);
+        }
         if !rmse_e_val.is_finite() || !rmse_f_val.is_finite() {
             self.diverged = true;
-            self.abort = Some(AbortReason::Diverged { step, loss: self.last_loss });
-            return;
+            self.abort = Some(AbortReason::Diverged { step, loss: loss_value });
+            return false;
         }
-        self.lcurve.push(LcurveRow {
+        self.push_row(LcurveRow {
             step,
             rmse_e_val,
-            rmse_e_trn: self.last_trn_e_sq.sqrt(),
+            rmse_e_trn: trn_e_sq.sqrt(),
             rmse_f_val,
-            rmse_f_trn: self.last_trn_f_sq.sqrt(),
+            rmse_f_trn: trn_f_sq.sqrt(),
             lr: self.schedule.lr(step),
         });
+        self.is_active()
+    }
+
+    /// Append a learning-curve row and stream it as an event: telemetry
+    /// consumers see every interval, not just the journaled tail.
+    fn push_row(&mut self, row: LcurveRow) {
+        self.lcurve.push(row);
         if let Some(rec) = self.sup.obs() {
-            // Stream the display row as an event: telemetry consumers see
-            // every interval, not just the journaled tail.
             rec.record(Event {
                 name: names::LCURVE_ROW,
                 cat: cats::LCURVE,
                 ctx: self.sup.span,
-                step: Some(step as u64),
-                when: When::InTask(self.sup.sim_minutes(step)),
+                step: Some(row.step as u64),
+                when: When::InTask(self.sup.sim_minutes(row.step)),
                 dur_min: 0.0,
                 worker: None,
                 args: vec![
-                    ("rmse_e_val", rmse_e_val),
-                    ("rmse_e_trn", self.last_trn_e_sq.sqrt()),
-                    ("rmse_f_val", rmse_f_val),
-                    ("rmse_f_trn", self.last_trn_f_sq.sqrt()),
-                    ("lr", self.schedule.lr(step)),
+                    ("rmse_e_val", row.rmse_e_val),
+                    ("rmse_e_trn", row.rmse_e_trn),
+                    ("rmse_f_val", row.rmse_f_val),
+                    ("rmse_f_trn", row.rmse_f_trn),
+                    ("lr", row.lr),
                 ],
             });
         }
     }
 
-    /// True when the run completed all its steps and still owes the final
-    /// validation row.
-    pub(crate) fn needs_final_row(&self) -> bool {
-        !self.diverged && self.abort.is_none()
-    }
-
     /// Complete the run: final validation row (for a run that finished its
     /// steps) plus abort telemetry.
-    pub fn finish(self) -> TrainReport {
-        let final_rmse =
-            if self.needs_final_row() { Some(self.val_batch.rmse(&self.model)) } else { None };
-        self.finish_with(final_rmse)
-    }
-
-    /// As [`TrainRun::finish`] with an externally computed final validation
-    /// RMSE (population mode computes it in the fused sweep). Must be
-    /// `Some` exactly when [`TrainRun::needs_final_row`] is true.
-    pub(crate) fn finish_with(mut self, final_rmse: Option<(f64, f64)>) -> TrainReport {
+    pub fn finish(mut self) -> TrainReport {
         // Always attempt a final validation row for completed training
         // (skipped when supervision aborted the run early: the model is
         // half-trained and the caller only wants the structured reason).
-        if self.needs_final_row() {
-            let (rmse_e_val, rmse_f_val) =
-                final_rmse.expect("completed run finished without a final validation RMSE");
+        if !self.diverged && self.abort.is_none() {
+            let (rmse_e_val, rmse_f_val) = self.val_batch.rmse(&self.model);
             if rmse_e_val.is_finite() && rmse_f_val.is_finite() {
                 let last = self.lcurve.last().copied();
-                self.lcurve.push(LcurveRow {
+                self.push_row(LcurveRow {
                     step: self.config.num_steps,
                     rmse_e_val,
                     rmse_e_trn: last.map_or(rmse_e_val, |r| r.rmse_e_trn),
@@ -881,25 +749,6 @@ impl<'a> TrainRun<'a> {
                     rmse_f_trn: last.map_or(rmse_f_val, |r| r.rmse_f_trn),
                     lr: self.schedule.lr(self.config.num_steps),
                 });
-                if let Some(rec) = self.sup.obs() {
-                    let row = self.lcurve.last().copied().expect("just pushed");
-                    rec.record(Event {
-                        name: names::LCURVE_ROW,
-                        cat: cats::LCURVE,
-                        ctx: self.sup.span,
-                        step: Some(row.step as u64),
-                        when: When::InTask(self.sup.sim_minutes(row.step)),
-                        dur_min: 0.0,
-                        worker: None,
-                        args: vec![
-                            ("rmse_e_val", row.rmse_e_val),
-                            ("rmse_e_trn", row.rmse_e_trn),
-                            ("rmse_f_val", row.rmse_f_val),
-                            ("rmse_f_trn", row.rmse_f_trn),
-                            ("lr", row.lr),
-                        ],
-                    });
-                }
             } else {
                 self.diverged = true;
             }
@@ -1209,8 +1058,6 @@ mod tests {
 
     #[test]
     fn adam_moves_parameters_toward_gradient_descent() {
-        let mut adam = Adam::new(&[Shape::D1(2)]);
-        // Minimise f(w) = w² with constant gradient queries.
         let mut params_holder = {
             let (train_ds, _) = tiny_data(13);
             let mut rng = StdRng::seed_from_u64(14);
@@ -1232,6 +1079,5 @@ mod tests {
         full_adam.step(&mut params_holder.params, &grads, 0.01);
         let after = params_holder.params.flat()[0].data()[0];
         assert!(after < before, "positive gradient must decrease weight");
-        let _ = &mut adam; // silence unused for the simple state
     }
 }

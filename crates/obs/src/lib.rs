@@ -73,10 +73,6 @@ pub mod names {
     /// cardinality, spread, archive churn) emitted at the generation
     /// boundary after the archive absorbs the population.
     pub const FRONT: &str = "ea.front";
-    /// Instant: per-bucket tape-arena allocation summary emitted when a
-    /// fused population bucket finishes training, so pool sharing across
-    /// bucket members is visible (members, hits/misses/leases, bytes).
-    pub const TAPE_BUCKET: &str = "tape.bucket";
 
     /// Counter: optimiser steps completed.
     pub const C_STEPS: &str = "train.steps";
